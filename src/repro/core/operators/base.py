@@ -179,6 +179,11 @@ class TileContext:
         for c in chunks:
             self.meta.update_chunk(c)
 
+    def probe_payload(self, key: str) -> Any:
+        """Payload of an executed probe chunk, or None when this context
+        has no storage to read it from."""
+        return None
+
 
 def run_tile(op: Operator, ctx: TileContext, execute_cb) -> list[list[ChunkNode]]:
     """Drive one operator's ``tile``, servicing its yields.

@@ -44,6 +44,44 @@ def split_pandas(pdf: pd.DataFrame, max_bytes: int) -> list[pd.DataFrame]:
     return [pdf.iloc[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
 
+_NAN_BITS = np.array([np.nan]).view(np.uint64)[0]
+
+
+def _hash_form(col: pd.Series):
+    """One key column's values in a form whose hash depends on the value,
+    not the dtype, wherever pandas would match the values in a merge or
+    group them together: numpy ints of any width become int64, and whole
+    floats (``-0.0`` included) become the int64 bits of the same number.
+    int64, object and extension columns are hashed as they are."""
+    dt = col.dtype
+    if not isinstance(dt, np.dtype) or dt.kind not in "iuf" or dt == np.int64:
+        return col
+    if dt.kind in "iu":
+        return col.astype(np.int64)  # uint64 past 2**63 wraps: a collision only
+    v = col.to_numpy(np.float64)
+    bits = v.view(np.uint64).copy()
+    with np.errstate(invalid="ignore"):
+        whole = (v == np.trunc(v)) & (np.abs(v) < 2.0 ** 63)
+    bits[whole] = v[whole].astype(np.int64).view(np.uint64)
+    bits[np.isnan(v)] = _NAN_BITS
+    return pd.Series(bits, index=col.index, copy=False)
+
+
+def hash_keys(pdf: pd.DataFrame, on: list[str]) -> np.ndarray:
+    """uint64 hash of each row's key columns, computed column by column.
+
+    Equal keys hash equally across frames even when their dtypes differ
+    (int32/int64/float64 chunks of one join or group key), because each
+    column is hashed in its :func:`_hash_form`. A single int64 or object
+    key hashes exactly as ``hash_pandas_object`` of the column."""
+    if len(on) == 1:
+        h = pd.util.hash_pandas_object(_hash_form(pdf[on[0]]), index=False)
+    else:
+        keys = pd.concat([_hash_form(pdf[c]) for c in on], axis=1, keys=range(len(on)))
+        h = pd.util.hash_pandas_object(keys, index=False)
+    return h.to_numpy()
+
+
 def hash_partition(
     pdf: pd.DataFrame, on: list[str], n: int, total: Optional[int] = None
 ) -> dict[int, pd.DataFrame]:
@@ -59,13 +97,7 @@ def hash_partition(
         out = {r: pdf.iloc[0:0] for r in range(total)}
         out[0] = pdf
         return out
-    if len(on) == 1:
-        h = pd.util.hash_pandas_object(pdf[on[0]], index=False)
-    else:
-        h = pd.util.hash_pandas_object(
-            pdf[on].astype(object).apply(tuple, axis=1), index=False
-        )
-    codes = (h % n).to_numpy()
+    codes = hash_keys(pdf, on) % np.uint64(n)
     # one stable sort + boundary slicing: O(rows log rows), independent
     # of the bucket count (a per-bucket mask scan is O(rows × buckets))
     order = np.argsort(codes, kind="stable")
@@ -868,9 +900,10 @@ class _MergeShuffleMap(Operator):
         total = self.n_reducers + self.hot_buckets
         if not self.hot_keys:
             return hash_partition(df, self.keys, self.n_reducers, total=total)
-        keyvals = (df[self.keys[0]] if len(self.keys) == 1
-                   else df[self.keys].astype(object).apply(tuple, axis=1))
-        hot_mask = keyvals.isin(self.hot_keys).to_numpy()
+        if len(self.keys) == 1:
+            hot_mask = df[self.keys[0]].isin(self.hot_keys).to_numpy()
+        else:
+            hot_mask = pd.MultiIndex.from_frame(df[self.keys]).isin(self.hot_keys)
         cold = df.iloc[np.flatnonzero(~hot_mask)]
         hot = df.iloc[np.flatnonzero(hot_mask)]
         out = hash_partition(cold, self.keys, self.n_reducers, total=total)
@@ -923,8 +956,6 @@ class Merge(Operator):
         lkeys, rkeys = self.kw.left_keys(), self.kw.right_keys()
 
         est_l = est_r = None
-        hot_keys: Optional[frozenset] = None
-        hot_bytes = 0
         if cfg.dynamic_tiling:
             k = max(1, cfg.probe_chunks)
             probes = [c for c in left[:k] if not ctx.meta.has(c.key)] + [
@@ -936,7 +967,6 @@ class Merge(Operator):
             ctx.refresh(right)
             est_l = _estimate_total(ctx, left)
             est_r = _estimate_total(ctx, right)
-            hot_keys, hot_bytes = _detect_hot_keys(ctx, left, right, lkeys, rkeys)
 
         # --- broadcast path -------------------------------------------
         if cfg.dynamic_tiling and est_l is not None and est_r is not None:
@@ -961,25 +991,31 @@ class Merge(Operator):
             n_red = max(1, math.ceil((est_l + est_r) / cfg.chunk_limit))
         else:
             n_red = cfg.static_shuffle_partitions or max(len(left), len(right))
+        # hot keys matter only to a shuffle, so broadcast plans skip the
+        # key counting; an outer join keeps the unmatched rows of both
+        # sides, so it may replicate neither side's hot rows
+        hot_keys, hot_bytes = (
+            _detect_hot_keys(ctx, left, right, lkeys, rkeys)
+            if cfg.dynamic_tiling and self.kw.how != "outer" else (None, 0)
+        )
         hot_buckets = 0
-        use_hot = bool(hot_keys) and cfg.dynamic_tiling
+        use_hot = hot_keys is not None
         if use_hot:
             hot_buckets = max(1, math.ceil(hot_bytes / cfg.chunk_limit))
             ctx.stats.merge_choices[f"merge:{lkeys}/{rkeys}"] = "skew"
         elif cfg.dynamic_tiling:
             ctx.stats.merge_choices[f"merge:{lkeys}/{rkeys}"] = "shuffle"
-        hot_fs = frozenset(hot_keys) if use_hot else None
         # probe side = the preserved/larger side (left for how='left');
         # build side replicates its hot rows to every hot bucket.
         probe_is_left = self.kw.how in ("left", "inner")
         lmaps = [
-            ChunkNode(op=_MergeShuffleMap(lkeys, n_red, hot_fs, hot_buckets,
+            ChunkNode(op=_MergeShuffleMap(lkeys, n_red, hot_keys, hot_buckets,
                                           replicate_hot=use_hot and not probe_is_left),
                       inputs=[c], index=(i, 0), meta=ChunkMeta())
             for i, c in enumerate(left)
         ]
         rmaps = [
-            ChunkNode(op=_MergeShuffleMap(rkeys, n_red, hot_fs, hot_buckets,
+            ChunkNode(op=_MergeShuffleMap(rkeys, n_red, hot_keys, hot_buckets,
                                           replicate_hot=use_hot and probe_is_left),
                       inputs=[c], index=(i, 0), meta=ChunkMeta())
             for i, c in enumerate(right)
@@ -1035,12 +1071,14 @@ def _detect_hot_keys(ctx, left, right, lkeys, rkeys):
             m = ctx.meta.get(c.key)
             if m.nbytes and m.shape and m.shape[0]:
                 bytes_per_row = m.nbytes / m.shape[0]
-            payload = ctx.probe_payload(c.key) if hasattr(ctx, "probe_payload") else None
+            payload = ctx.probe_payload(c.key)
             if payload is None:
                 continue
-            kv = (payload[keys[0]] if len(keys) == 1
-                  else payload[keys].astype(object).apply(tuple, axis=1))
-            for k, n in kv.value_counts().head(20).items():
+            # a multi-column count yields the same tuples that
+            # MultiIndex.isin tests in _MergeShuffleMap
+            vc = (payload[keys[0]].value_counts() if len(keys) == 1
+                  else payload.value_counts(subset=keys, dropna=False))
+            for k, n in vc.head(20).items():
                 counts[k] = counts.get(k, 0) + int(n)
         if bytes_per_row is None:
             continue
@@ -1050,7 +1088,7 @@ def _detect_hot_keys(ctx, left, right, lkeys, rkeys):
             if est_bytes > limit:
                 hot.add(k)
                 hot_bytes = max(hot_bytes, int(est_bytes))
-    return (hot or None), hot_bytes
+    return (frozenset(hot) or None), hot_bytes
 
 
 # --------------------------------------------------------------------------
@@ -1150,7 +1188,7 @@ class SortValues(Operator):
     def _sample_bounds(self, ctx, in_chunks, n_red):
         samples = []
         for c in in_chunks:
-            payload = ctx.probe_payload(c.key) if hasattr(ctx, "probe_payload") else None
+            payload = ctx.probe_payload(c.key)
             if payload is not None and len(payload):
                 samples.append(payload[self.by[0]])
         if not samples:
