@@ -1,9 +1,11 @@
 """Executors: run a chunk graph as fused, scheduled subtasks.
 
-Two implementations with identical semantics:
+Two implementations share one wave loop (:meth:`BaseExecutor.execute`)
+and one per-subtask path (gather → :func:`run_subtask` → meter → store):
 
-* :class:`LocalExecutor` — a thread pool; used by unit tests and by the
-  baseline engine simulators (fast, no serialisation).
+* :class:`LocalExecutor` — runs each wave serially in-process; used by
+  unit tests and by the baseline engine simulators (fast, no
+  serialisation).
 * :class:`SparkExecutor` — each *wave* of ready subtasks becomes one
   Spark job: ``sc.parallelize(payload_items).map(run_subtask)``. This is
   the layer where the paper's subtask ≈ a Spark task (DESIGN.md § 2);
@@ -17,17 +19,12 @@ has run, so the resident set tracks what a real cluster would hold.
 """
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Iterable, Optional
 
-from repro.storage.service import SimulatedOOM, StorageService
+from repro.storage.service import StorageService
 
 from .chunk import ChunkNode, build_chunk_dag, ChunkMeta, payload_nbytes
 from .config import EngineConfig
-from .fusion import FusedElementwise, execute_fused
-from .graph import DAG
 from .meta import MetaService
 from .scheduler import Scheduler, make_bands
 from .subtask import Subtask, build_subtask_graph
@@ -92,10 +89,7 @@ def run_subtask(
                     blk = payload.get(reducer)
                     if blk is not None:
                         bucket_bytes += payload_nbytes(blk)
-        if isinstance(chunk.op, FusedElementwise):
-            out = execute_fused(chunk.op, ins)
-        else:
-            out = chunk.op.execute_chunk(ins, chunk)
+        out = chunk.op.execute_chunk(ins, chunk)
         values[chunk.key] = out
         nbytes = payload_nbytes(out)
         sizes[chunk.key] = nbytes
@@ -138,24 +132,6 @@ class SubtaskSpec:
         return out
 
 
-class _BucketMarker:
-    """Stored in place of a shuffle mapper's bucket dict; the buckets
-    themselves live as individual entries (``key::b<r>``) so a reducer
-    fetches — and the spill layer moves — only its own bucket, exactly
-    the paper's storage-service shuffle. Storing the whole dict instead
-    makes every reducer page in every mapper's full output:
-    O(maps × reducers) spill churn at scale (measured: 766 s vs ~1 s on
-    one TPC-H-lite query)."""
-
-    def __init__(self, buckets: list[int], nbytes: int) -> None:
-        self.buckets = buckets
-        self.nbytes = nbytes
-
-    @staticmethod
-    def bucket_key(key: str, r: int) -> str:
-        return f"{key}::b{r}"
-
-
 class BaseExecutor:
     """Shared orchestration: fuse → schedule → run waves → store/free."""
 
@@ -173,7 +149,6 @@ class BaseExecutor:
         self.chunk_band: dict[str, str] = {}
         self.tasks_executed = 0
         self.waves = 0
-        self._lock = threading.Lock()
         # refcounts persist across execute() calls within one query so
         # probe-phase chunks are freed once the final graph consumed them
         self._pinned: set[str] = set()
@@ -253,64 +228,55 @@ class BaseExecutor:
                         and consumers[k] == 0
                         and k not in self._pinned
                     ):
-                        self._delete_chunk(k)
+                        self.storage.delete(k)
 
     def fetch(self, chunks: Iterable[ChunkNode]) -> list[Any]:
         return [self.storage.get(c.key) for c in chunks]
-
-    def _delete_chunk(self, k: str) -> None:
-        if not self.storage.has(k):
-            return
-        payload = self.storage.get(k)
-        if isinstance(payload, _BucketMarker):
-            for r in payload.buckets:
-                self.storage.delete(_BucketMarker.bucket_key(k, r))
-        self.storage.delete(k)
 
     def unpin(self, keys: Iterable[str]) -> None:
         for k in keys:
             self._pinned.discard(k)
 
-    # -- wave execution -------------------------------------------------
+    # -- one subtask ---------------------------------------------------
+    def _run_one(self, spec: SubtaskSpec) -> None:
+        inputs = self._gather_inputs(spec)
+        self._finish(spec, run_subtask(spec, inputs, self._input_sizes(spec)))
+
+    def _finish(
+        self,
+        spec: SubtaskSpec,
+        result: tuple[dict[str, Any], dict[str, int], int],
+    ) -> None:
+        """Meter, store and count one subtask's ``run_subtask`` result."""
+        outputs, sizes, working = result
+        self._meter(spec, working)
+        self._store_outputs(spec, outputs, sizes)
+        self.tasks_executed += 1
+
     def _gather_inputs(self, spec: SubtaskSpec) -> dict[str, Any]:
         needed = spec.reducers_needed()
-        out: dict[str, Any] = {}
-        for k in spec.input_keys:
-            payload = self.storage.get(k)
-            if isinstance(payload, _BucketMarker):
-                avail = set(payload.buckets)
-                out[k] = {
-                    r: self.storage.get(_BucketMarker.bucket_key(k, r))
-                    for r in needed & avail
-                }
-            else:
-                out[k] = payload
-        return out
+        return {
+            k: self.storage.get_buckets(k, needed)
+            if self.storage.has_buckets(k) else self.storage.get(k)
+            for k in spec.input_keys
+        }
 
     def _store_outputs(
         self, spec: SubtaskSpec, outputs: dict[str, Any], sizes: dict[str, int]
     ) -> None:
         band = spec.band or "w0-n0"
-        with self._lock:
-            for k, payload in outputs.items():
-                if isinstance(payload, dict) and payload and all(
-                    isinstance(r, int) for r in payload
-                ):
-                    # shuffle mapper output: store buckets individually
-                    total = 0
-                    for r, blk in payload.items():
-                        total += self.storage.put(
-                            _BucketMarker.bucket_key(k, r), blk, band=band
-                        )
-                    marker = _BucketMarker(sorted(payload), total)
-                    self.storage.put(k, marker, band=band, nbytes=64)
-                    self.meta.put(k, ChunkMeta(nbytes=total))
-                else:
-                    self.storage.put(k, payload, band=band, nbytes=sizes.get(k))
-                    self.meta.put(
-                        k, ChunkMeta.from_payload(payload, nbytes=sizes.get(k))
-                    )
-                self.chunk_band[k] = band
+        for k, payload in outputs.items():
+            if isinstance(payload, dict) and payload and all(
+                isinstance(r, int) for r in payload
+            ):
+                # shuffle mapper output: one storage entry per bucket
+                total = self.storage.put_buckets(k, payload, band=band)
+                meta = ChunkMeta(nbytes=total)
+            else:
+                self.storage.put(k, payload, band=band, nbytes=sizes.get(k))
+                meta = ChunkMeta.from_payload(payload, nbytes=sizes.get(k))
+            self.meta.put(k, meta)
+            self.chunk_band[k] = band
 
     def _input_sizes(self, spec: SubtaskSpec) -> dict[str, int]:
         return {
@@ -323,62 +289,26 @@ class BaseExecutor:
         """Charge the subtask's peak transient working set (inputs +
         live intermediates + gathered buckets) against its band."""
         band = spec.band or "w0-n0"
-        with self._lock:
-            self.storage.charge_transient(band, peak_working)
-            self.storage.release_transient(band, peak_working)
+        self.storage.charge_transient(band, peak_working)
+        self.storage.release_transient(band, peak_working)
 
     def _run_wave(self, specs: list[SubtaskSpec]) -> None:  # pragma: no cover
         raise NotImplementedError
 
 
 class LocalExecutor(BaseExecutor):
-    """In-process executor (serial by default, optional thread pool).
+    """In-process executor: runs each wave's subtasks one after another.
 
     pandas kernels rarely release the GIL, and under sandboxed kernels
-    (gVisor) contended futexes are so slow that a thread pool can be
-    100× *slower* than serial execution — measured, not hypothetical.
-    Bands still drive scheduling and memory metering; wall-clock
-    parallelism comes from :class:`SparkExecutor` (real processes) or
-    from setting ``REPRO_THREADS=<wave width>`` on native kernels.
+    (gVisor) contended futexes are so slow that a thread pool was
+    measured 100× *slower* than serial execution. Bands still drive
+    scheduling and memory metering; wall-clock parallelism comes from
+    :class:`SparkExecutor` (real processes).
     """
 
-    #: waves narrower than this run inline; float('inf') = always serial
-    PARALLEL_THRESHOLD = float(os.environ.get("REPRO_THREADS", "inf"))
-
-    def __init__(self, cfg, meta, storage) -> None:
-        super().__init__(cfg, meta, storage)
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def _get_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=max(1, len(self.bands)),
-                thread_name_prefix="repro-band",
-            )
-        return self._pool
-
-    def _run_one(self, spec: SubtaskSpec) -> None:
-        inputs = self._gather_inputs(spec)
-        outputs, sizes, working = run_subtask(spec, inputs, self._input_sizes(spec))
-        self._meter(spec, working)
-        self._store_outputs(spec, outputs, sizes)
-        with self._lock:
-            self.tasks_executed += 1
-
     def _run_wave(self, specs: list[SubtaskSpec]) -> None:
-        if len(specs) < self.PARALLEL_THRESHOLD:
-            for s in specs:
-                self._run_one(s)
-            return
-        futures = [self._get_pool().submit(self._run_one, s) for s in specs]
-        errs = []
-        for f in futures:
-            try:
-                f.result()
-            except Exception as e:  # drain all, then raise the first
-                errs.append(e)
-        if errs:
-            raise errs[0]
+        for spec in specs:
+            self._run_one(spec)
 
 
 class SparkExecutor(BaseExecutor):
@@ -392,13 +322,7 @@ class SparkExecutor(BaseExecutor):
     def _run_wave(self, specs: list[SubtaskSpec]) -> None:
         if len(specs) == 1:
             # avoid job overhead for singleton waves (common: final agg)
-            spec = specs[0]
-            inputs = self._gather_inputs(spec)
-            outputs, sizes, working = run_subtask(spec, inputs,
-                                                  self._input_sizes(spec))
-            self._meter(spec, working)
-            self._store_outputs(spec, outputs, sizes)
-            self.tasks_executed += 1
+            self._run_one(specs[0])
             return
         # One partition per subtask: each Spark task deserialises only its
         # own spec + input payloads.
@@ -413,8 +337,5 @@ class SparkExecutor(BaseExecutor):
             .collect()
         )
         by_key = dict(results)
-        for spec, _inputs, _sz in items:
-            outputs, sizes, working = by_key[spec.key]
-            self._meter(spec, working)
-            self._store_outputs(spec, outputs, sizes)
-            self.tasks_executed += 1
+        for spec in specs:
+            self._finish(spec, by_key[spec.key])

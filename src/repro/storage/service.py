@@ -12,8 +12,9 @@ design points at laptop scale:
   paper's shared-memory + spill configuration.
 * **Minimised data transfer** — within one process payloads are stored
   by reference (the paper uses pickle5 zero-copy between processes).
-* **Shuffle over storage** — mappers ``put_shuffle`` per-reducer blocks
-  and reducers ``get_shuffle`` them.
+* **Shuffle over storage** — a mapper's output is stored with
+  ``put_buckets`` as one entry per reducer bucket, and a reducer reads
+  only its own buckets with ``get_buckets``; ``delete`` drops them all.
 
 The service is also the honest memory meter behind ``SimulatedOOM``
 (DESIGN.md § 6): *stored* chunks are spillable, but the **transient
@@ -30,7 +31,7 @@ import pickle
 import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 from repro.core.chunk import payload_nbytes
 
@@ -60,6 +61,7 @@ class _Entry:
     band: str
     payload: Any = None  # set when level is MEMORY
     path: Optional[str] = None  # set when level is DISK
+    buckets: Optional[list[int]] = None  # set on a shuffle mapper's entry
 
 
 @dataclass
@@ -83,13 +85,11 @@ class StorageService:
 
     def __init__(
         self,
-        memory_limit: Optional[int] = None,  # kept for API compat; unused
         band_memory_limit: Optional[int] = None,
         spill_dir: Optional[str] = None,
         allow_spill: bool = True,
     ) -> None:
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
-        self._shuffle: dict[tuple, list[tuple]] = {}
         self.band_memory_limit = band_memory_limit
         self.allow_spill = allow_spill
         self._spill_dir = spill_dir
@@ -167,7 +167,10 @@ class StorageService:
             entry.path = None
             entry.level = StorageLevel.MEMORY
             self.band_usage(entry.band).resident += entry.nbytes
+            # an entry larger than the whole budget is spilled again right
+            # away, so hand back what was just loaded, not entry.payload
             self._rebalance(entry.band, "(spill re-load)")
+            return payload
         return entry.payload
 
     def has(self, key: str) -> bool:
@@ -191,13 +194,8 @@ class StorageService:
             u.resident = max(0, u.resident - entry.nbytes)
         elif entry.path and os.path.exists(entry.path):
             os.unlink(entry.path)
-
-    def delete_many(self, keys: Iterable[str]) -> None:
-        for k in list(keys):
-            self.delete(k)
-
-    def keys(self) -> list[str]:
-        return list(self._entries)
+        for r in entry.buckets or ():
+            self.delete(_bucket_key(key, r))
 
     @property
     def memory_used(self) -> int:
@@ -207,22 +205,35 @@ class StorageService:
         )
 
     # -- shuffle --------------------------------------------------------
-    def put_shuffle(self, shuffle_id: str, reducer: int, block: Any,
-                    band: str = "b0") -> None:
-        """Append one mapper's block for ``reducer``; blocks are bucketed
-        per (shuffle_id, reducer) so a reducer does one logical read (the
-        paper's aggregated shuffle transfer)."""
-        nbytes = payload_nbytes(block)
-        self._shuffle.setdefault((shuffle_id, reducer), []).append(
-            (block, band, nbytes)
+    def put_buckets(self, key: str, buckets: dict[int, Any],
+                    band: str = "b0") -> int:
+        """Store a shuffle mapper's output ``{reducer: block}`` under
+        ``key``; returns the buckets' metered bytes.
+
+        Each bucket is its own entry, so a reducer fetches — and the spill
+        layer moves — only its own bucket: the paper's storage-service
+        shuffle. Storing the whole dict instead makes every reducer page in
+        every mapper's full output: O(maps × reducers) spill churn at scale
+        (measured: 766 s vs ~1 s on one TPC-H-lite query). ``key`` itself
+        holds the sorted bucket ids, metered at 64 bytes."""
+        self.delete(key)
+        total = sum(
+            self.put(_bucket_key(key, r), blk, band=band)
+            for r, blk in buckets.items()
         )
+        ids = sorted(buckets)
+        self.put(key, ids, band=band, nbytes=64)
+        self._entries[key].buckets = ids
+        return total
 
-    def get_shuffle(self, shuffle_id: str, reducer: int) -> list[Any]:
-        return [blk for blk, _band, _n in self._shuffle.get((shuffle_id, reducer), [])]
+    def get_buckets(self, key: str, reducers: set[int]) -> dict[int, Any]:
+        """The blocks of ``key``'s buckets that ``reducers`` name and the
+        mapper produced."""
+        ids = self.get(key)
+        return {r: self.get(_bucket_key(key, r)) for r in reducers & set(ids)}
 
-    def drop_shuffle(self, shuffle_id: str) -> None:
-        for k in [k for k in self._shuffle if k[0] == shuffle_id]:
-            del self._shuffle[k]
+    def has_buckets(self, key: str) -> bool:
+        return self._entries[key].buckets is not None
 
     # -- spill ----------------------------------------------------------
     def _spill_entry(self, key: str, entry: _Entry) -> None:
@@ -244,9 +255,12 @@ class StorageService:
     def close(self) -> None:
         for key in list(self._entries):
             self.delete(key)
-        self._shuffle.clear()
         self.bands.clear()
         if self._tmp is not None:
             self._tmp.cleanup()
             self._tmp = None
             self._spill_dir = None
+
+
+def _bucket_key(key: str, r: int) -> str:
+    return f"{key}::b{r}"

@@ -4,13 +4,13 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.chunk import ChunkMeta, ChunkNode
+from repro.core.chunk import ChunkMeta, ChunkNode, payload_nbytes
 from repro.core.config import EngineConfig
 from repro.core.executor import LocalExecutor, SimulatedHang
 from repro.core.meta import MetaService
 from repro.core.operators.base import Operator
 from repro.core.operators.dataframe import DataChunk, Elementwise
-from repro.storage.service import SimulatedOOM, StorageService
+from repro.storage.service import SimulatedOOM, StorageLevel, StorageService
 
 
 def make_executor(**cfg_kw):
@@ -146,3 +146,47 @@ class TestAblationEquivalence:
         _, a = self._result(graph_fusion=True, operator_fusion=True)
         _, b = self._result(graph_fusion=True, operator_fusion=False)
         pd.testing.assert_frame_equal(a, b)
+
+
+class TestFreeing:
+    def test_freeing_spilled_intermediate_does_not_reload_it(self):
+        """A spilled intermediate whose consumers have all run is deleted
+        where it lies: the only reads of spilled data are a subtask's own
+        input gathering."""
+        f = payload_nbytes(frame(2000))
+        ex = make_executor(bands_per_worker=1, band_memory_limit=4 * f + 4096)
+        store = ex.storage
+        gathering = [False]
+        reloads_outside_gather, deleted_on_disk = [], []
+        get, delete, gather = store.get, store.delete, ex._gather_inputs
+
+        def traced_get(key):
+            if store.level_of(key) is StorageLevel.DISK and not gathering[0]:
+                reloads_outside_gather.append(key)
+            return get(key)
+
+        def traced_delete(key):
+            if store.has(key) and store.level_of(key) is StorageLevel.DISK:
+                deleted_on_disk.append(key)
+            delete(key)
+
+        def traced_gather(spec):
+            gathering[0] = True
+            try:
+                return gather(spec)
+            finally:
+                gathering[0] = False
+
+        store.get, store.delete = traced_get, traced_delete
+        ex._gather_inputs = traced_gather
+        srcs = [source_chunk(frame(2000, seed=i)) for i in range(2)]
+        mids = [ChunkNode(op=_NonFusable(), inputs=[s]) for s in srcs]
+        outs = [ChunkNode(op=_NonFusable(), inputs=[m]) for m in mids]
+        ex.execute(outs)
+
+        mid_keys = {m.key for m in mids}
+        assert mid_keys & set(deleted_on_disk)  # a spilled mid was freed
+        assert not any(store.has(k) for k in mid_keys)
+        assert reloads_outside_gather == []
+        for o, s in zip(outs, srcs):
+            pd.testing.assert_frame_equal(store.get(o.key), s.op.data)

@@ -1,5 +1,8 @@
 """Unit tests for the storage service (paper § V-C): levels, spill,
 shuffle buckets, and the band memory meter behind ``SimulatedOOM``."""
+import os
+import pickle
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -129,6 +132,18 @@ class TestSpill:
         assert s.level_of("a") is StorageLevel.MEMORY
         assert s.level_of("b") is StorageLevel.MEMORY
 
+    def test_entry_larger_than_budget_still_returned(self):
+        df = frame(5000)  # ~80 KB against a 40 KB budget
+        s = StorageService(band_memory_limit=payload_nbytes(df) // 2)
+        s.put("big", df, band="b0")
+        assert s.level_of("big") is StorageLevel.DISK
+        got = s.get("big")
+        assert got is not None
+        pd.testing.assert_frame_equal(got, df)
+        # the reload could not stay resident: it went straight back out
+        assert s.level_of("big") is StorageLevel.DISK
+        pd.testing.assert_frame_equal(s.get("big"), df)
+
     def test_peak_recorded(self):
         s = StorageService(band_memory_limit=1 << 30)
         s.put("k", frame(1000), band="b0")
@@ -168,27 +183,60 @@ class TestOOM:
 class TestShuffle:
     def test_put_get_buckets(self):
         s = StorageService()
-        s.put_shuffle("sh1", 0, frame(10))
-        s.put_shuffle("sh1", 0, frame(20))
-        s.put_shuffle("sh1", 1, frame(30))
-        assert len(s.get_shuffle("sh1", 0)) == 2
-        assert len(s.get_shuffle("sh1", 1)) == 1
-        assert s.get_shuffle("sh1", 9) == []
+        blocks = {0: frame(10), 1: frame(20), 3: frame(30)}
+        total = s.put_buckets("m", blocks, band="b1")
+        assert total == sum(payload_nbytes(b) for b in blocks.values())
+        assert s.has_buckets("m")
+        assert s.nbytes_of("m") == 64
+        got = s.get_buckets("m", {1, 3, 9})  # 9: the mapper made none
+        assert sorted(got) == [1, 3]
+        assert got[1] is blocks[1] and got[3] is blocks[3]
+        assert s.get_buckets("m", {2}) == {}
 
-    def test_drop_shuffle(self):
+    def test_delete_drops_buckets(self):
         s = StorageService()
-        s.put_shuffle("sh1", 0, frame(10))
-        s.put_shuffle("sh2", 0, frame(10))
-        s.drop_shuffle("sh1")
-        assert s.get_shuffle("sh1", 0) == []
-        assert len(s.get_shuffle("sh2", 0)) == 1
+        s.put_buckets("m1", {0: frame(10), 1: frame(10)}, band="b0")
+        s.put_buckets("m2", {0: frame(10)}, band="b0")
+        s.delete("m1")
+        assert not s.has("m1")
+        assert s.get_buckets("m2", {0}).keys() == {0}
+        s.delete("m2")
+        assert s.memory_used == 0
+        assert s.band_usage("b0").resident == 0
+
+    def test_overwrite_replaces_buckets(self):
+        s = StorageService()
+        s.put_buckets("m", {0: frame(10), 1: frame(10)})
+        s.put_buckets("m", {1: frame(20)})
+        assert s.get_buckets("m", {0, 1}).keys() == {1}
+        s.put("m", frame(5))  # a plain payload replaces the buckets too
+        assert not s.has_buckets("m")
+        assert s.memory_used == s.nbytes_of("m")
+
+    def test_delete_spilled_mapper_does_not_reload(self, monkeypatch):
+        limit = 1 << 20
+        s = StorageService(band_memory_limit=limit)
+        s.put_buckets("m", {0: frame(2000), 1: frame(2000)}, band="b0")
+        s.charge_transient("b0", limit)  # pushes every entry to disk
+        s.release_transient("b0", limit)
+        assert s.level_of("m") is StorageLevel.DISK
+        monkeypatch.setattr(pickle, "load", _no_load)
+        s.delete("m")
+        assert not s.has("m")
+        assert not s.has("m::b0") and not s.has("m::b1")
+        assert os.listdir(s._spill_dir) == []
+
+
+def _no_load(*_a, **_k):
+    raise AssertionError("deleting an entry must not unpickle it")
 
 
 class TestClose:
     def test_close_clears_everything(self):
         s = StorageService(band_memory_limit=1 << 30)
         s.put("k", frame(), band="b0")
-        s.put_shuffle("sh", 0, frame(10))
+        s.put_buckets("sh", {0: frame(10)}, band="b0")
         s.close()
         assert not s.has("k")
+        assert not s.has("sh")
         assert s.bands == {}
